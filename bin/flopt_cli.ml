@@ -1451,9 +1451,16 @@ let topology_cmd =
 let () =
   let doc = "compiler-directed file layout optimization for hierarchical storage (SC'12 reproduction)" in
   let info = Cmd.info "flopt" ~version:"1.0.0" ~doc in
+  (* usage errors (unknown app, malformed flag value) exit 2 like every
+     other bad input, not Cmdliner's 124 *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ apps_cmd; plan_cmd; run_cmd; bench_cmd; analyze_cmd; bench_diff_cmd;
-            chaos_cmd; fidelity_cmd; drift_cmd; layout_cmd; trace_csv_cmd;
-            trace_cmd; traffic_cmd; slo_cmd; overload_cmd; topology_cmd ]))
+    (match
+       Cmd.eval_value
+         (Cmd.group info
+            [ apps_cmd; plan_cmd; run_cmd; bench_cmd; analyze_cmd; bench_diff_cmd;
+              chaos_cmd; fidelity_cmd; drift_cmd; layout_cmd; trace_csv_cmd;
+              trace_cmd; traffic_cmd; slo_cmd; overload_cmd; topology_cmd ])
+     with
+    | Ok _ -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -1,9 +1,9 @@
 (* Per-commit benchmark trajectory: append-only history rows distilled from
-   bench manifests, plus a static HTML/SVG trend page.  Reuses
-   Bench_schema.Json for parsing/printing and mirrors its save discipline
-   (side file + fsync + rename). *)
+   bench manifests, plus a static HTML/SVG trend page.  Reads and writes
+   through Flo_obs.Json and mirrors Bench_schema's save discipline (side
+   file + fsync + rename). *)
 
-module Json = Bench_schema.Json
+module Json = Flo_obs.Json
 
 let schema_name = "flopt-bench-history"
 let schema_version = 1
@@ -128,52 +128,30 @@ let to_json t =
     ]
 
 let of_json j =
-  let ( let* ) r f = Result.bind r f in
-  let str = function Json.Str s -> Ok s | _ -> Error "expected a string" in
-  let num = function Json.Num f -> Ok f | _ -> Error "expected a number" in
-  let field obj name conv =
-    match Json.member name obj with
-    | Some v -> conv v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let list_of name conv obj =
-    match Json.member name obj with
-    | Some (Json.Arr items) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* v = conv item in
-          Ok (v :: acc))
-        (Ok []) items
-      |> Result.map List.rev
-    | _ -> Error (Printf.sprintf "missing list %S" name)
-  in
-  let* schema = field j "schema" str in
+  let ( let* ) = Result.bind in
+  let* schema = Json.(field "schema" str) j in
   let* () =
     if schema = schema_name then Ok ()
     else Error (Printf.sprintf "not a %s file (schema %S)" schema_name schema)
   in
-  let* version = Result.map int_of_float (field j "version" num) in
+  let* version = Json.(field "version" int) j in
   let point item =
-    let* name = field item "name" str in
-    let* value = field item "value" num in
-    let* unit_ = field item "unit" str in
+    let* name = Json.(field "name" str) item in
+    let* value = Json.(field "value" num) item in
+    let* unit_ = Json.(field "unit" str) item in
     Ok { name; value; unit_ }
   in
   let row item =
-    let* commit = field item "commit" str in
-    let* points = list_of "points" point item in
+    let* commit = Json.(field "commit" str) item in
+    let* points = Json.(field "points" (list point)) item in
     Ok { commit; points }
   in
-  let* rows = list_of "rows" row j in
+  let* rows = Json.(field "rows" (list row)) j in
   let t = { version; rows } in
   let* () = validate t in
   Ok t
 
-let parse_string contents =
-  match Json.parse contents with
-  | exception Json.Parse msg -> Error msg
-  | j -> of_json j
+let parse_string = Json.decode of_json
 
 let load path =
   match

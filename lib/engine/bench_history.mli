@@ -50,8 +50,8 @@ val validate : t -> (unit, string) result
 (** Supported version, valid commit ids, no duplicate commits, rows
     well-formed ({!upsert}'s point checks). *)
 
-val to_json : t -> Bench_schema.Json.t
-val of_json : Bench_schema.Json.t -> (t, string) result
+val to_json : t -> Flo_obs.Json.t
+val of_json : Flo_obs.Json.t -> (t, string) result
 
 val parse_string : string -> (t, string) result
 (** Parse and {!validate}.  Total: any byte string returns [Error]. *)

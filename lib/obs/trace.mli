@@ -96,9 +96,9 @@ val to_json : t -> string
 
 val of_json : string -> (t, string) result
 (** Inverse of {!to_json}.  Tolerates any field order; unknown reason names
-    are dropped (forward-compat) unless that leaves the list empty.  Nesting
-    beyond depth 64 is rejected rather than risking stack overflow on
-    hostile input. *)
+    are dropped (forward-compat) unless that leaves the list empty.  Reads
+    through {!Json.parse}, so nesting beyond {!Json.max_depth} is an
+    [Error] rather than a stack overflow on hostile input. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary (no tree). *)

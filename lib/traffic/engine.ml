@@ -61,8 +61,14 @@ let validate p =
   let ( let* ) = Result.bind in
   let* () = if p.mix <> [] then Ok () else Error "mix must name at least one application" in
   let* () = if p.tenants >= 0 then Ok () else Error "tenants must be non-negative" in
-  let* () = if p.duration_s > 0. then Ok () else Error "duration must be positive" in
-  let* () = if p.rate > 0. then Ok () else Error "rate must be positive" in
+  let* () =
+    if Float.is_finite p.duration_s && p.duration_s > 0. then Ok ()
+    else Error "duration must be positive and finite"
+  in
+  let* () =
+    if Float.is_finite p.rate && p.rate > 0. then Ok ()
+    else Error "rate must be positive and finite"
+  in
   let* () = if p.zipf_s > 0. then Ok () else Error "zipf-s must be positive" in
   let* () =
     if p.opt_share >= 0. && p.opt_share <= 1. then Ok ()

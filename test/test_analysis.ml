@@ -3,6 +3,7 @@ open Flo_workloads
 open Flo_engine
 module A = Flo_analysis.Analyzer
 module E = Flo_obs.Event
+module J = Flo_obs.Json
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -333,29 +334,30 @@ let test_fig6_golden_analysis () =
 
 (* ---- Perfetto export ---------------------------------------------------- *)
 
-let count_sub hay needle =
-  let n = String.length needle and h = String.length hay in
-  let c = ref 0 in
-  for i = 0 to h - n do
-    if String.sub hay i n = needle then incr c
-  done;
-  !c
-
 let test_perfetto_export () =
   let a = load_golden () in
-  let json = String.trim (Flo_analysis.Perfetto.json_of_events (A.events a)) in
-  checkb "object" true
-    (String.length json > 2 && json.[0] = '{' && json.[String.length json - 1] = '}');
-  check "balanced braces" (count_sub json "{") (count_sub json "}");
-  check "balanced brackets" (count_sub json "[") (count_sub json "]");
+  (* parsing proves the braces and brackets balance *)
+  let doc = J.parse (Flo_analysis.Perfetto.json_of_events (A.events a)) in
+  let items =
+    match doc with
+    | J.Obj fields ->
+      check "traceEvents key" 1
+        (List.length (List.filter (fun (k, _) -> k = "traceEvents") fields));
+      (match J.member "traceEvents" doc with
+      | Some (J.Arr items) -> items
+      | _ -> Alcotest.fail "traceEvents is not a list")
+    | _ -> Alcotest.fail "export is not an object"
+  in
+  let count key value =
+    List.length (List.filter (fun i -> J.member key i = Some (J.Str value)) items)
+  in
   (* one complete slice per block request *)
-  check "slices" 9 (count_sub json {|"ph":"X"|});
+  check "slices" 9 (count "ph" "X");
   (* instants: evictions + disk reads on the cache tracks *)
-  check "instants" 13 (count_sub json {|"ph":"i"|});
-  checkb "thread names" true (count_sub json {|"thread_name"|} >= 2);
-  checkb "hit color present" true (count_sub json {|"cname":"good"|} >= 1);
-  checkb "disk color present" true (count_sub json {|"cname":"terrible"|} >= 1);
-  check "traceEvents key" 1 (count_sub json {|"traceEvents"|})
+  check "instants" 13 (count "ph" "i");
+  checkb "thread names" true (count "name" "thread_name" >= 2);
+  checkb "hit color present" true (count "cname" "good" >= 1);
+  checkb "disk color present" true (count "cname" "terrible" >= 1)
 
 let test_analyzer_error_reporting () =
   let path = Filename.temp_file "flopt_bad" ".jsonl" in
@@ -391,8 +393,6 @@ let suite =
   @ qsuite
 
 (* ---- perfetto edge shapes ------------------------------------------------ *)
-
-module J = Flo_engine.Bench_schema.Json
 
 let test_perfetto_empty_trace () =
   (* no events must still yield a well-formed document with an (empty or

@@ -3,7 +3,7 @@
 
 open Flo_engine
 module B = Bench_schema
-module J = B.Json
+module J = Flo_obs.Json
 
 let checkb = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -24,7 +24,9 @@ let test_json_roundtrip_by_hand () =
       ]
   in
   checkb "roundtrip" true (J.parse (J.to_string t) = t);
-  check_str "integers print bare" "42" (J.to_string (J.Num 42.))
+  check_str "integers print bare" "42" (J.to_string (J.Num 42.));
+  checkb "escapes decode" true
+    (J.parse {|"\u0041\n\t\"\\\/\u00e9\u20ac"|} = J.Str "A\n\t\"\\/\xc3\xa9\xe2\x82\xac")
 
 let test_json_parse_accepts_whitespace () =
   let t = J.parse "  {\n  \"a\" : [ 1 , 2 ] ,\n \"b\" : null }  " in
@@ -37,7 +39,8 @@ let test_json_parse_rejects_garbage () =
       match J.parse s with
       | exception J.Parse _ -> ()
       | v -> Alcotest.failf "accepted %S as %s" s (J.to_string v))
-    [ ""; "{"; "{\"a\":}"; "[1,]"; "tru"; "{} x"; "\"unterminated" ]
+    [ ""; "{"; "{\"a\":}"; "[1,]"; "tru"; "{} x"; "\"unterminated";
+      {|"\u12"|}; {|"\u12g4"|}; {|"\ud83d\ude00"|}; {|"\x"|} ]
 
 let json_gen =
   let open QCheck.Gen in
@@ -73,33 +76,6 @@ let prop_json_roundtrip =
     (fun t -> J.parse (J.to_string t) = t)
 
 (* -- parser robustness ---------------------------------------------------- *)
-
-(* arbitrary byte strings, not just printable ones: the manifest parser is
-   the only component that reads files an attacker (or a crashed writer)
-   controls, so it must be total — structured [Error], never an exception *)
-let hostile_string_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (* raw bytes *)
-        (3, string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 64));
-        (* json-ish prefixes that exercise every parser state *)
-        ( 2,
-          map
-            (fun (a, b) -> a ^ b)
-            (pair
-               (oneofl
-                  [ "{"; "["; "{\"a\":"; "[1,"; "\""; "\\"; "tru"; "-"; "1e";
-                    "{\"schema\":\"flopt-bench\","; "nul" ])
-               (string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 32)) ) );
-      ])
-
-let prop_parse_string_never_raises =
-  QCheck.Test.make ~count:1000
-    ~name:"Bench_schema.parse_string is total on arbitrary bytes"
-    (QCheck.make ~print:String.escaped hostile_string_gen)
-    (fun s ->
-      match B.parse_string s with Ok _ | Error _ -> true)
 
 let test_parser_depth_limited () =
   (* a hostile "[[[[..." must come back as a structured error, not blow the
@@ -365,6 +341,8 @@ let test_history_parse_rejects_corrupt () =
       ("wrong schema", "{\"schema\":\"flopt-bench\",\"version\":1,\"rows\":[]}");
       ( "future version",
         "{\"schema\":\"flopt-bench-history\",\"version\":99,\"rows\":[]}" );
+      ( "fractional version",
+        "{\"schema\":\"flopt-bench-history\",\"version\":1.5,\"rows\":[]}" );
       ( "bad commit id",
         "{\"schema\":\"flopt-bench-history\",\"version\":1,\"rows\":[{\"commit\":\"a b\",\"points\":[{\"name\":\"m\",\"value\":1,\"unit\":\"x\"}]}]}"
       );
@@ -431,7 +409,7 @@ let test_history_page_deterministic () =
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_json_roundtrip; prop_parse_string_never_raises;
+      prop_json_roundtrip;
       prop_self_diff_never_regresses;
     ]
 

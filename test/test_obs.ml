@@ -317,14 +317,26 @@ let test_event_json_parse () =
   | Ok e -> checkb "unknown kind wraps in Other" true (e.Event.kind = Event.Other "warp")
   | Error msg -> Alcotest.failf "unknown kind rejected: %s" msg
 
-(* floats as eighths so the %.3f wire format round-trips exactly *)
+(* floats as eighths so the %.3f wire format round-trips exactly; [Other]
+   names are drawn from bytes that need escaping (plus letters no known
+   kind name is made of), so they stay [Other] on the way back *)
 let event_arb =
   let open QCheck in
+  let other_name =
+    Gen.(
+      string_size (int_bound 8)
+        ~gen:(oneofl [ '"'; '\\'; '/'; '\n'; '\t'; '\r'; '\x00'; '\x1f'; ' '; 'z'; '\x7f'; '\xff' ]))
+  in
   let gen =
     Gen.(
-      oneofl [ Event.Access; Event.Hit; Event.Miss; Event.Evict; Event.Demote;
-               Event.Prefetch; Event.Disk_read; Event.Fault; Event.Retry;
-               Event.Timeout; Event.Failover ]
+      frequency
+        [
+          ( 11,
+            oneofl [ Event.Access; Event.Hit; Event.Miss; Event.Evict; Event.Demote;
+                     Event.Prefetch; Event.Disk_read; Event.Fault; Event.Retry;
+                     Event.Timeout; Event.Failover ] );
+          (4, map (fun s -> Event.Other s) other_name);
+        ]
       >>= fun kind ->
       oneofl [ Event.L1; Event.L2; Event.Disk ] >>= fun layer ->
       int_range 0 7 >>= fun node ->
@@ -348,6 +360,41 @@ let prop_event_json_roundtrip =
       match Event.of_json (Event.to_json e) with
       | Ok e' -> e' = e
       | Error _ -> false)
+
+(* arbitrary byte strings, not just printable ones: every reader below takes
+   files from outside the program (`flopt analyze`, `flopt trace`,
+   `bench-diff`, the bench history), so each must be total — a structured
+   [Error], never an exception *)
+let hostile_string_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (* raw bytes *)
+        (3, string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 64));
+        (* json-ish prefixes that exercise every parser state *)
+        ( 2,
+          map
+            (fun (a, b) -> a ^ b)
+            (pair
+               (oneofl
+                  [ "{"; "["; "{\"a\":"; "[1,"; "\""; "\\"; "\"\\u"; "\"\\ud83d\\u";
+                    "tru"; "-"; "1e"; "{\"schema\":\"flopt-bench\",";
+                    "{\"schema\":\"flopt-bench-history\",\"version\":1,\"rows\":[";
+                    "{\"t_us\":1,\"kind\":\""; "{\"trace_id\":\"000000000000002a\",";
+                    "nul" ])
+               (string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 32)) ) );
+      ])
+
+let prop_readers_total =
+  QCheck.Test.make ~count:1000 ~name:"JSON readers are total on arbitrary bytes"
+    (QCheck.make ~print:String.escaped hostile_string_gen)
+    (fun s ->
+      let total = function Ok _ | Error _ -> true in
+      (match Json.parse s with _ -> true | exception Json.Parse _ -> true)
+      && total (Event.of_json s)
+      && total (Trace.of_json s)
+      && total (Flo_engine.Bench_schema.parse_string s)
+      && total (Flo_engine.Bench_history.parse_string s))
 
 (* ---- Sink: ring properties --------------------------------------------- *)
 
@@ -543,6 +590,7 @@ let qsuite =
       prop_histogram_add_many_equals_repeated_add;
       prop_histogram_bucket_monotone;
       prop_event_json_roundtrip;
+      prop_readers_total;
       prop_metrics_merge_commutative;
       prop_metrics_merge_associative;
       prop_ring_bounded_and_newest;

@@ -12,6 +12,11 @@ let checkb = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 let test_jobs = Test_parallel.test_jobs
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
 let small_config = Test_parallel.small_config ~block_elems:16 ~threads:8
 let toy_mix = [ Test_parallel.toy_col; Test_parallel.toy_row ]
 
@@ -255,18 +260,13 @@ let test_zero_overhead_when_off () =
     Traffic_report.summary r ^ Traffic_report.verdict_line r
   in
   let off = report untraced in
-  let has_needle hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   checkb "untraced report has no exemplar line" true
-    (not (has_needle off "exemplar"));
+    (not (contains off "exemplar"));
   (* verdict + all modeled tables: strip only the exemplar line from the
      traced report, everything else must match the untraced one exactly *)
   let on_lines =
     String.split_on_char '\n' (report traced)
-    |> List.filter (fun l -> not (has_needle l "exemplar traces:"))
+    |> List.filter (fun l -> not (contains l "exemplar traces:"))
   in
   check_str "reports identical modulo the exemplar line" off
     (String.concat "\n" on_lines);
@@ -334,13 +334,8 @@ let test_exemplars_reach_report () =
   checkb "aggregate histogram carries exemplars" true
     (Histogram.has_exemplars r.Engine.agg_hist);
   let summary = Traffic_report.summary r in
-  let has_needle hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   checkb "report names exemplar traces" true
-    (has_needle summary "exemplar traces:");
+    (contains summary "exemplar traces:");
   (* every advertised exemplar id resolves to a trace in the file *)
   let ids =
     List.map (fun (e : Histogram.exemplar) -> e.Histogram.trace_id)
@@ -364,19 +359,25 @@ let test_perfetto_traces_stable () =
   let a = Flo_analysis.Perfetto.json_of_traces traces in
   let b = Flo_analysis.Perfetto.json_of_traces traces in
   check_str "repeated export byte-identical" a b;
-  let has_needle hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
+  (* slices carry the ids the CLI renders: parse the export once and collect
+     every slice's trace_id/span_id args *)
+  let module J = Flo_obs.Json in
+  let args =
+    match J.member "traceEvents" (J.parse a) with
+    | Some (J.Arr items) -> List.filter_map (J.member "args") items
+    | _ -> Alcotest.fail "traceEvents missing or not a list"
   in
-  (* slices carry the ids the CLI renders *)
+  let arg_strs key =
+    List.filter_map (fun v -> Result.to_option J.(field key str v)) args
+  in
+  let exported = Hashtbl.create 4096 in
+  List.iter (fun id -> Hashtbl.replace exported id ()) (arg_strs "trace_id");
   List.iter
     (fun (t : Trace.t) ->
       let id = Trace.id_to_string t.Trace.trace_id in
-      checkb (Printf.sprintf "trace_id %s exported" id) true
-        (has_needle a (Printf.sprintf {|"trace_id":"%s"|} id)))
+      checkb (Printf.sprintf "trace_id %s exported" id) true (Hashtbl.mem exported id))
     traces;
-  checkb "span ids exported" true (has_needle a {|"span_id":"|})
+  checkb "span ids exported" true (arg_strs "span_id" <> [])
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest

@@ -324,6 +324,8 @@ let test_validate_rejects_bad_params () =
       ("negative tenants", { toy_params with Engine.tenants = -1 });
       ("zero duration", { toy_params with Engine.duration_s = 0. });
       ("zero rate", { toy_params with Engine.rate = 0. });
+      ("infinite duration", { toy_params with Engine.duration_s = infinity });
+      ("infinite rate", { toy_params with Engine.rate = infinity });
       ("zero zipf", { toy_params with Engine.zipf_s = 0. });
       ("opt share over 1", { toy_params with Engine.opt_share = 1.5 });
       ("noisy below 1", { toy_params with Engine.noisy_boost = 0.5 });
