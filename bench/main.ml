@@ -798,9 +798,9 @@ let json_mode args =
   let sim_metrics =
     (* ungated simulation-kernel numbers: closed-loop block-request
        throughput (client buffers + hierarchy + disks, streams
-       pregenerated) of the devirtualized Flat_lru kernel against the
-       retained closure reference (Lru.reference through the generic
-       dispatch path).  Both kernels must agree on the modeled elapsed
+       pregenerated) of caches on the Flat_lru kernel against the retained
+       closure reference (Lru.reference), both through the one Hierarchy
+       access body.  Both kernels must agree on the modeled elapsed
        time — the golden suite pins full result identity — so any
        divergence aborts the bench. *)
     Printf.eprintf "bench json: simulation kernel...\n%!";

@@ -1,12 +1,14 @@
 (* Micro-benchmark for the simulation kernel: times the closed-loop replay
    (client buffers + hierarchy + disks) of the production flat kernel
-   (Flat_lru-backed Lru, devirtualized Hierarchy hot path) against the
-   retained reference kernel (Lru.reference closures through the generic
-   dispatch path) over the 16-app suite, default and inter-node layouts.
-   Streams are pregenerated, so tracegen cost is excluded; both kernels
-   must report the same modeled elapsed time or the run aborts.
+   (Flat_lru-backed Lru, whose state Hierarchy drives directly) against the
+   retained reference kernel (Lru.reference closures, through the same
+   Hierarchy access body) over the 16-app suite, default and inter-node
+   layouts.  Streams are pregenerated, so tracegen cost is excluded; both
+   kernels must report the same modeled elapsed time or the run aborts.
 
-     dune exec --profile release bench/sim_bench.exe [-- sample N] [reps N] *)
+     dune exec --profile release bench/sim_bench.exe [-- sample N] [reps N]
+
+   A malformed or unknown argument exits 2 with a [sim_bench:] message. *)
 
 open Flo_workloads
 open Flo_engine
@@ -15,15 +17,24 @@ let config = Config.default
 
 let () =
   let sample = ref 8 and reps = ref 3 in
+  let positive name v =
+    match int_of_string_opt v with
+    | Some n when n >= 1 -> n
+    | _ ->
+      Printf.eprintf "sim_bench: %s must be a positive integer, got %S\n" name v;
+      exit 2
+  in
   let rec parse = function
     | [] -> ()
     | "sample" :: n :: rest ->
-      (match int_of_string_opt n with Some n when n >= 1 -> sample := n | _ -> ());
+      sample := positive "sample" n;
       parse rest
     | "reps" :: n :: rest ->
-      (match int_of_string_opt n with Some n when n >= 1 -> reps := n | _ -> ());
+      reps := positive "reps" n;
       parse rest
-    | _ :: rest -> parse rest
+    | arg :: _ ->
+      Printf.eprintf "sim_bench: unknown or incomplete argument %S\n" arg;
+      exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
   let sample = !sample and reps = !reps in

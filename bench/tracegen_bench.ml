@@ -3,7 +3,10 @@
    Tracegen.reference_streams (the retained naive per-element generator)
    over the 16-app suite, default and inter-node layouts.
 
-     dune exec --profile release bench/tracegen_bench.exe [-- sample N] *)
+     dune exec --profile release bench/tracegen_bench.exe [-- sample N]
+
+   A malformed or unknown argument exits 2 with a [tracegen_bench:]
+   message. *)
 
 open Flo_storage
 open Flo_workloads
@@ -22,11 +25,22 @@ let time f =
   !best
 
 let () =
-  let sample =
-    match Array.to_list Sys.argv with
-    | [ _; "sample"; n ] -> (match int_of_string_opt n with Some n when n >= 1 -> n | _ -> 1)
-    | _ -> 1
+  let sample = ref 1 in
+  let rec parse = function
+    | [] -> ()
+    | "sample" :: n :: rest ->
+      (match int_of_string_opt n with
+      | Some n when n >= 1 -> sample := n
+      | _ ->
+        Printf.eprintf "tracegen_bench: sample must be a positive integer, got %S\n" n;
+        exit 2);
+      parse rest
+    | arg :: _ ->
+      Printf.eprintf "tracegen_bench: unknown or incomplete argument %S\n" arg;
+      exit 2
   in
+  parse (List.tl (Array.to_list Sys.argv));
+  let sample = !sample in
   let topo = config.Config.topology in
   let block_elems = topo.Topology.block_elems in
   let threads = Config.threads config in

@@ -2,16 +2,16 @@
    bench/sim_bench.exe and the ungated `_sim/*` metrics of `bench -- json`.
 
    Block streams are generated once per app; a timed pass then replays them
-   through fresh client buffers and a fresh hierarchy with the same
-   round-robin quantum interleave as [Run.run], so the measured wall clock
-   is the per-request simulation kernel alone — no tracegen, no layout
-   compilation.  [Fast] is the production kernel ({!Flo_storage.Lru.create}
-   backed by {!Flo_storage.Flat_lru}, devirtualized in Hierarchy);
-   [Reference] forces the retained pre-flat implementation
-   ({!Flo_storage.Lru.reference} closures through the generic dispatch
-   path).  Both produce identical modeled results — the golden suite in
-   test/test_sim_kernel.ml pins that — so the ratio of their walls is the
-   kernel speedup. *)
+   through fresh client buffers and a fresh hierarchy with [Run.replay],
+   the round-robin quantum interleave of [Run.run], so the measured wall
+   clock is the per-request simulation kernel alone — no tracegen, no
+   layout compilation.  [Fast] is the production kernel
+   ({!Flo_storage.Lru.create}, whose caches Hierarchy drives as
+   {!Flo_storage.Flat_lru} state); [Reference] forces the retained pre-flat
+   implementation ({!Flo_storage.Lru.reference} closures, through the same
+   Hierarchy access body).  Both produce identical modeled results — the
+   golden suite in test/test_sim_kernel.ml pins that — so the ratio of
+   their walls is the cache-kernel speedup. *)
 
 open Flo_storage
 open Flo_workloads
@@ -46,8 +46,8 @@ let prepare ~config ~layouts ?(sample = 1) app =
   in
   { app; config; weighted_streams }
 
-(* One closed-loop pass: fresh buffers + hierarchy, same replay loop as
-   Run.run.  Returns (block_requests, modeled elapsed_us). *)
+(* One closed-loop pass: fresh buffers + hierarchy, Run.run's replay loop.
+   Returns (block_requests, modeled elapsed_us). *)
 let pass kernel p =
   let config = p.config in
   let topo = config.Config.topology in
@@ -94,21 +94,7 @@ let pass kernel p =
   List.iter
     (fun (weight, streams) ->
       for _rep = 1 to weight do
-        let cursors = Array.make threads 0 in
-        let live = ref threads in
-        while !live > 0 do
-          live := 0;
-          for t = 0 to threads - 1 do
-            let stream = streams.(t) in
-            let len = Array.length stream in
-            let upto = min len (cursors.(t) + config.Config.quantum) in
-            for k = cursors.(t) to upto - 1 do
-              request t stream.(k)
-            done;
-            cursors.(t) <- upto;
-            if upto < len then incr live
-          done
-        done
+        Run.replay ~quantum:config.Config.quantum streams request
       done)
     p.weighted_streams;
   (!block_requests, Hierarchy.elapsed_us hier)

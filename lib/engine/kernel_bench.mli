@@ -7,10 +7,10 @@
     [bench -- json]. *)
 
 type kernel =
-  | Fast  (** production kernel: {!Flo_storage.Flat_lru}, devirtualized *)
+  | Fast  (** production kernel: caches on {!Flo_storage.Flat_lru} state *)
   | Reference
-      (** retained pre-flat kernel: {!Flo_storage.Lru.reference} closures
-          through the generic dispatch path *)
+      (** retained pre-flat kernel: {!Flo_storage.Lru.reference} closures,
+          through the same hierarchy access body *)
 
 type prepared
 

@@ -93,6 +93,25 @@ let karma_hints_of_streams ~io_of_thread ~io_nodes weighted_streams =
     weighted_streams;
   hints
 
+(* round-robin interleave across threads, [quantum] requests a turn *)
+let replay ~quantum streams request =
+  let threads = Array.length streams in
+  let cursors = Array.make threads 0 in
+  let live = ref threads in
+  while !live > 0 do
+    live := 0;
+    for t = 0 to threads - 1 do
+      let stream = streams.(t) in
+      let len = Array.length stream in
+      let upto = min len (cursors.(t) + quantum) in
+      for k = cursors.(t) to upto - 1 do
+        request t stream.(k)
+      done;
+      cursors.(t) <- upto;
+      if upto < len then incr live
+    done
+  done
+
 let run ?mapping ?(caching = Lru) ?assigns ?(sample = 1) ?(readahead = 0) ?sink ?metrics
     ?faults ~config ~layouts app =
   let topo = config.Config.topology in
@@ -177,22 +196,7 @@ let run ?mapping ?(caching = Lru) ?assigns ?(sample = 1) ?(readahead = 0) ?sink 
           ~blocks_per_thread:config.Config.blocks_per_thread ~sample nest
       in
       for _rep = 1 to nest.Flo_poly.Loop_nest.weight do
-        (* round-robin interleave across threads, [quantum] requests a turn *)
-        let cursors = Array.make threads 0 in
-        let live = ref threads in
-        while !live > 0 do
-          live := 0;
-          for t = 0 to threads - 1 do
-            let stream = streams.(t) in
-            let len = Array.length stream in
-            let upto = min len (cursors.(t) + config.Config.quantum) in
-            for k = cursors.(t) to upto - 1 do
-              request t stream.(k)
-            done;
-            cursors.(t) <- upto;
-            if upto < len then incr live
-          done
-        done;
+        replay ~quantum:config.Config.quantum streams request;
         let nrefs = List.length nest.Flo_poly.Loop_nest.refs in
         Array.iteri
           (fun t n ->

@@ -65,6 +65,12 @@ val run :
     {!Flo_faults.Injector.counts}.  Omitted (or compiled from an inert
     plan), the run is byte-identical to the fault-free path. *)
 
+val replay : quantum:int -> Block.t array array -> (int -> Block.t -> unit) -> unit
+(** [replay ~quantum streams request] interleaves per-thread block streams
+    round-robin, [quantum] requests per thread per turn, calling
+    [request thread block] for each element in that order — one weighted
+    repetition of a nest, the replay order of {!run}. *)
+
 val karma_hints_of_streams :
   io_of_thread:(int -> int) -> io_nodes:int -> (int * Block.t array array) list ->
   Karma.hint list array

@@ -4,18 +4,48 @@ type costs = { l1_hit_us : float; l2_hit_us : float; demote_us : float }
 
 let default_costs = { l1_hit_us = 25.; l2_hit_us = 140.; demote_us = 8. }
 
-(* The devirtualized hot path: when every cache is an exact LRU backed by
-   Flat_lru, no fault injector is attached and no event sink is listening,
-   [access] runs direct calls on these flat states — no closure record
-   indirection, no Block.Tbl hashing, no per-request allocation. *)
-type fast = { fl1 : Flat_lru.t array; fl2 : Flat_lru.t array }
+(* Each cache is resolved once at creation: an exact LRU exposes its flat
+   state ({!Policy.t.fast}) and is driven by direct Flat_lru calls — no
+   closure indirection, no option boxing; any other policy keeps its
+   closures.  [access] is one body over both, so observed, faulted and
+   non-LRU runs share the allocation-free path. *)
+type cache = Flat of Flat_lru.t | Closures of Policy.t
+
+let resolve (c : Policy.t) =
+  match c.Policy.fast with Some f -> Flat f | None -> Closures c
+
+(* Every cache op returns an int victim, Flat_lru.nil meaning none. *)
+let victim_int = function None -> Flat_lru.nil | Some (v : Block.t) -> (v :> int)
+
+let[@inline] c_touch c (b : Block.t) =
+  match c with Flat f -> Flat_lru.touch f (b :> int) | Closures p -> p.Policy.touch b
+
+let[@inline] c_insert c (b : Block.t) =
+  match c with
+  | Flat f -> Flat_lru.insert f (b :> int)
+  | Closures p -> victim_int (p.Policy.insert b)
+
+let[@inline] c_insert_cold c (b : Block.t) =
+  match c with
+  | Flat f -> Flat_lru.insert_cold f (b :> int)
+  | Closures p -> victim_int (p.Policy.insert_cold b)
+
+let[@inline] c_remove c (b : Block.t) =
+  match c with Flat f -> Flat_lru.remove f (b :> int) | Closures p -> p.Policy.remove b
+
+let[@inline] c_contains c (b : Block.t) =
+  match c with
+  | Flat f -> Flat_lru.contains f (b :> int)
+  | Closures p -> p.Policy.contains b
+
+let c_clear = function Flat f -> Flat_lru.clear f | Closures p -> p.Policy.clear ()
 
 type t = {
   topo : Topology.t;
   protocol : protocol;
   mapping : int array; (* thread -> compute node *)
-  l1 : Policy.t array;
-  l2 : Policy.t array;
+  l1 : cache array;
+  l2 : cache array;
   l1_stats : Stats.t array;
   l2_stats : Stats.t array;
   disks : Disk.t array;
@@ -40,9 +70,6 @@ type t = {
   (* None guards the exact fault-free code path: with no injector every
      fault branch below is the unmodified original arithmetic *)
   faults : Flo_faults.Injector.t option;
-  (* Some when the fault-free, sink-less hot path may bypass the Policy
-     closures; resolved once at creation *)
-  fast : fast option;
 }
 
 let create ?(protocol = Inclusive) ?mapping ?l1 ?l2 ?l1_factory ?l2_factory
@@ -87,22 +114,12 @@ let create ?(protocol = Inclusive) ?mapping ?l1 ?l2 ?l1_factory ?l2_factory
   let disks =
     Array.init topo.Topology.storage_nodes (fun _ -> Disk.create ?params:disk_params ())
   in
-  let fast =
-    let flat (caches : Policy.t array) =
-      if Array.for_all (fun (c : Policy.t) -> c.Policy.fast <> None) caches then
-        Some (Array.map (fun (c : Policy.t) -> Option.get c.Policy.fast) caches)
-      else None
-    in
-    match (faults, flat l1, flat l2) with
-    | None, Some fl1, Some fl2 when Flo_obs.Sink.is_null sink -> Some { fl1; fl2 }
-    | _ -> None
-  in
   {
     topo;
     protocol;
     mapping;
-    l1;
-    l2;
+    l1 = Array.map resolve l1;
+    l2 = Array.map resolve l2;
     l1_stats = Array.init topo.Topology.io_nodes (fun _ -> Stats.create ());
     l2_stats = Array.init topo.Topology.storage_nodes (fun _ -> Stats.create ());
     disks;
@@ -128,7 +145,6 @@ let create ?(protocol = Inclusive) ?mapping ?l1 ?l2 ?l1_factory ?l2_factory
           Topology.io_of_compute topo (mapping.(th) mod topo.Topology.compute_nodes));
     ra_charge = Array.map (fun d -> 0.2 *. (Disk.params d).Disk.transfer_us) disks;
     faults;
-    fast;
   }
 
 let topology t = t.topo
@@ -140,50 +156,63 @@ let io_node_of_thread t thread =
 
 (* All events of one request carry the thread's clock at arrival: a trace
    orders requests on the simulated timeline without charging the request's
-   own service time to its timestamp. *)
-let emit t ~time_us ~kind ~layer ~node ~thread ?latency_us b =
+   own service time to its timestamp.  [@inline] here and on the helpers
+   below keeps the null-sink path from boxing [time_us] or [latency_us]
+   per call. *)
+let[@inline] emit_timed t ~time_us ~kind ~layer ~node ~thread ~latency_us b =
   if not (Flo_obs.Sink.is_null t.sink) then
     t.sink.Flo_obs.Sink.emit
       (Flo_obs.Event.make ~time_us ~kind ~layer ~node ~thread ~file:(Block.file b)
-         ~block:(Block.index b) ?latency_us ())
+         ~block:(Block.index b) ~latency_us ())
+
+let[@inline] emit t ~time_us ~kind ~layer ~node ~thread b =
+  emit_timed t ~time_us ~kind ~layer ~node ~thread ~latency_us:0. b
+
+(* Fault routing: the storage node serving block [b] (its stripe's node,
+   remapped by any stripe failover), and whether that node's cache is up.
+   Fault-free, the stripe's node and [true]. *)
+let[@inline] route t b =
+  let sn0 = Striping.storage_node_of ~storage_nodes:t.topo.Topology.storage_nodes b in
+  match t.faults with None -> sn0 | Some inj -> Flo_faults.Injector.route inj sn0
+
+let[@inline] cache_online t sn =
+  match t.faults with
+  | None -> true
+  | Some inj -> Flo_faults.Injector.cache_online inj ~node:sn
 
 (* A block leaving an L2 cache can no longer yield a prefetch hit. *)
-let record_l2_eviction t ~time_us ~thread ~sn victim =
-  Stats.record_eviction t.l2_stats.(sn);
-  Hashtbl.remove t.speculative.(sn) victim;
-  emit t ~time_us ~kind:Flo_obs.Event.Evict ~layer:Flo_obs.Event.L2 ~node:sn ~thread victim
+let[@inline] record_l2_eviction t ~time_us ~thread ~sn v =
+  if v <> Flat_lru.nil then begin
+    let victim = Block.unsafe_of_int v in
+    Stats.record_eviction t.l2_stats.(sn);
+    Hashtbl.remove t.speculative.(sn) victim;
+    emit t ~time_us ~kind:Flo_obs.Event.Evict ~layer:Flo_obs.Event.L2 ~node:sn ~thread
+      victim
+  end
 
 (* Install a block in an L1 cache; under DEMOTE an L1 victim moves to the
    MRU end of its storage node's cache. *)
-let install_l1 t ~time_us ~io ~thread b =
-  match t.l1.(io).Policy.insert b with
-  | None -> ()
-  | Some victim -> (
+let[@inline] install_l1 t ~time_us ~io ~thread b =
+  let v = c_insert t.l1.(io) b in
+  if v <> Flat_lru.nil then begin
+    let victim = Block.unsafe_of_int v in
     Stats.record_eviction t.l1_stats.(io);
     emit t ~time_us ~kind:Flo_obs.Event.Evict ~layer:Flo_obs.Event.L1 ~node:io ~thread
       victim;
     match t.protocol with
     | Inclusive -> ()
     | Demote_exclusive ->
-      let sn0 = Striping.storage_node_of ~storage_nodes:t.topo.Topology.storage_nodes victim in
-      let sn, online =
-        match t.faults with
-        | None -> (sn0, true)
-        | Some inj ->
-          let sn = Flo_faults.Injector.route inj sn0 in
-          (sn, Flo_faults.Injector.cache_online inj ~node:sn)
-      in
+      let sn = route t victim in
       (* a demotion to an offline storage cache is a no-op: the client
          simply drops the block *)
-      if online then begin
+      if cache_online t sn then begin
         Stats.record_demotion t.l2_stats.(sn);
-        emit t ~time_us ~kind:Flo_obs.Event.Demote ~layer:Flo_obs.Event.L2 ~node:sn ~thread
-          victim;
+        emit t ~time_us ~kind:Flo_obs.Event.Demote ~layer:Flo_obs.Event.L2 ~node:sn
+          ~thread victim;
         t.clocks.(thread) <- t.clocks.(thread) +. t.costs.demote_us;
-        match t.l2.(sn).Policy.insert victim with
-        | Some v -> record_l2_eviction t ~time_us ~thread ~sn v
-        | None -> ()
-      end)
+        record_l2_eviction t ~time_us ~thread ~sn (c_insert t.l2.(sn) victim)
+      end
+  end
 
 (* The retry-engine read path, used only when an injector is attached.  A
    failed attempt costs its full (wasted) service time; backoffs and the
@@ -206,23 +235,23 @@ let faulty_disk_read t inj ~time_us ~thread ~sn ~lba b =
     let node = Flo_faults.Injector.failover_node inj ~node:sn in
     Flo_faults.Injector.record_failover inj;
     let svc = read node in
-    emit t ~time_us ~kind:Flo_obs.Event.Failover ~layer:Flo_obs.Event.Disk ~node ~thread
-      ~latency_us:svc b;
+    emit_timed t ~time_us ~kind:Flo_obs.Event.Failover ~layer:Flo_obs.Event.Disk ~node
+      ~thread ~latency_us:svc b;
     Flo_faults.Injector.observe_retry_latency inj extra;
     extra +. svc
   in
   let rec attempt k ~extra =
     let svc = read sn in
     if not (Flo_faults.Injector.draw_read_error inj ~node:sn) then begin
-      emit t ~time_us ~kind:Flo_obs.Event.Disk_read ~layer:Flo_obs.Event.Disk ~node:sn
-        ~thread ~latency_us:svc b;
+      emit_timed t ~time_us ~kind:Flo_obs.Event.Disk_read ~layer:Flo_obs.Event.Disk
+        ~node:sn ~thread ~latency_us:svc b;
       if extra > 0. then Flo_faults.Injector.observe_retry_latency inj extra;
       extra +. svc
     end
     else begin
       Flo_faults.Injector.record_fault inj;
-      emit t ~time_us ~kind:Flo_obs.Event.Fault ~layer:Flo_obs.Event.Disk ~node:sn ~thread
-        ~latency_us:svc b;
+      emit_timed t ~time_us ~kind:Flo_obs.Event.Fault ~layer:Flo_obs.Event.Disk
+        ~node:sn ~thread ~latency_us:svc b;
       let extra = extra +. svc in
       if k >= policy.Flo_faults.Retry.max_retries then failover ~extra
       else if extra >= policy.Flo_faults.Retry.timeout_us then begin
@@ -234,7 +263,7 @@ let faulty_disk_read t inj ~time_us ~thread ~sn ~lba b =
       else begin
         let backoff = Flo_faults.Injector.backoff_us inj ~node:sn ~attempt:k in
         Flo_faults.Injector.record_retry inj;
-        emit t ~time_us ~kind:Flo_obs.Event.Retry ~layer:Flo_obs.Event.Disk ~node:sn
+        emit_timed t ~time_us ~kind:Flo_obs.Event.Retry ~layer:Flo_obs.Event.Disk ~node:sn
           ~thread ~latency_us:backoff b;
         attempt (k + 1) ~extra:(extra +. backoff)
       end
@@ -242,30 +271,29 @@ let faulty_disk_read t inj ~time_us ~thread ~sn ~lba b =
   in
   attempt 0 ~extra:0.
 
-(* Generic path: Policy closures, event emission, fault injection.  Taken
-   whenever a non-LRU policy, a sink or an injector is attached. *)
-let access_generic t ~thread b =
+(* The one request walk: L1, then the striped L2, then disk.  Sink emission
+   and fault routing branch on [Sink.is_null] / [faults = None] inline, so a
+   null sink and no injector leave only the cache ops and the arithmetic,
+   with costs summed left to right into an unboxed local. *)
+let access t ~thread b =
+  if thread < 0 || thread >= Array.length t.clocks then
+    invalid_arg "Hierarchy: thread out of range";
   let io = t.io_tbl.(thread) in
   let time_us = t.clocks.(thread) in
   let cost = ref t.costs.l1_hit_us in
   emit t ~time_us ~kind:Flo_obs.Event.Access ~layer:Flo_obs.Event.L1 ~node:io ~thread b;
-  if t.l1.(io).Policy.touch b then begin
+  if c_touch t.l1.(io) b then begin
     Stats.record_hit t.l1_stats.(io);
     emit t ~time_us ~kind:Flo_obs.Event.Hit ~layer:Flo_obs.Event.L1 ~node:io ~thread b
   end
   else begin
     Stats.record_miss t.l1_stats.(io);
     emit t ~time_us ~kind:Flo_obs.Event.Miss ~layer:Flo_obs.Event.L1 ~node:io ~thread b;
-    let sn0 = Striping.storage_node_of ~storage_nodes:t.topo.Topology.storage_nodes b in
-    let sn, l2_online =
-      match t.faults with
-      | None -> (sn0, true)
-      | Some inj ->
-        let sn = Flo_faults.Injector.route inj sn0 in
-        (sn, Flo_faults.Injector.cache_online inj ~node:sn)
-    in
+    let sn = route t b in
+    let l2_online = cache_online t sn in
+    let l2 = t.l2.(sn) in
     cost := !cost +. t.costs.l2_hit_us;
-    if l2_online && t.l2.(sn).Policy.touch b then begin
+    if l2_online && c_touch l2 b then begin
       Stats.record_hit t.l2_stats.(sn);
       emit t ~time_us ~kind:Flo_obs.Event.Hit ~layer:Flo_obs.Event.L2 ~node:sn ~thread b;
       if Hashtbl.mem t.speculative.(sn) b then begin
@@ -273,12 +301,12 @@ let access_generic t ~thread b =
         Hashtbl.remove t.speculative.(sn) b;
         Stats.record_prefetch_hit t.l2_stats.(sn)
       end;
-      (match t.protocol with
+      match t.protocol with
       | Inclusive -> ()
       | Demote_exclusive ->
         (* the client caches it now: deprioritize rather than keep hot *)
-        ignore (t.l2.(sn).Policy.remove b);
-        ignore (t.l2.(sn).Policy.insert_cold b))
+        ignore (c_remove l2 b);
+        ignore (c_insert_cold l2 b)
     end
     else begin
       Stats.record_miss t.l2_stats.(sn);
@@ -299,8 +327,8 @@ let access_generic t ~thread b =
           (match t.disk_hists.(sn) with
           | Some h -> Flo_obs.Histogram.add h service
           | None -> ());
-          emit t ~time_us ~kind:Flo_obs.Event.Disk_read ~layer:Flo_obs.Event.Disk ~node:sn
-            ~thread ~latency_us:service b;
+          emit_timed t ~time_us ~kind:Flo_obs.Event.Disk_read ~layer:Flo_obs.Event.Disk
+            ~node:sn ~thread ~latency_us:service b;
           service
         | Some inj -> faulty_disk_read t inj ~time_us ~thread ~sn ~lba b
       in
@@ -318,31 +346,25 @@ let access_generic t ~thread b =
               ~index:(Block.index b + (k * t.topo.Topology.storage_nodes))
           in
           if Block.index next / t.topo.Topology.storage_nodes < t.file_stride
-             && not (t.l2.(sn).Policy.contains next)
+             && not (c_contains l2 next)
           then begin
             Stats.record_prefetch t.l2_stats.(sn);
             Hashtbl.replace t.speculative.(sn) next ();
             emit t ~time_us ~kind:Flo_obs.Event.Prefetch ~layer:Flo_obs.Event.L2 ~node:sn
               ~thread next;
             cost := !cost +. charge;
-            match t.l2.(sn).Policy.insert_cold next with
-            | Some v -> record_l2_eviction t ~time_us ~thread ~sn v
-            | None -> ()
+            record_l2_eviction t ~time_us ~thread ~sn (c_insert_cold l2 next)
           end
         done
       end;
       if l2_online then
-        match t.protocol with
-        | Inclusive ->
-          (match t.l2.(sn).Policy.insert b with
-          | Some v -> record_l2_eviction t ~time_us ~thread ~sn v
-          | None -> ())
-        | Demote_exclusive ->
-          (* DEMOTE-LRU keeps plain LRU for read blocks too, but a block the
-             client is about to cache enters at the cold end *)
-          (match t.l2.(sn).Policy.insert_cold b with
-          | Some v -> record_l2_eviction t ~time_us ~thread ~sn v
-          | None -> ())
+        record_l2_eviction t ~time_us ~thread ~sn
+          (match t.protocol with
+          | Inclusive -> c_insert l2 b
+          | Demote_exclusive ->
+            (* DEMOTE-LRU keeps plain LRU for read blocks too, but a block
+               the client is about to cache enters at the cold end *)
+            c_insert_cold l2 b)
     end;
     install_l1 t ~time_us ~io ~thread b
   end;
@@ -350,124 +372,6 @@ let access_generic t ~thread b =
   | Some h -> Flo_obs.Histogram.add h !cost
   | None -> ());
   t.clocks.(thread) <- t.clocks.(thread) +. !cost
-
-(* ---- devirtualized fast path ----------------------------------------
-
-   Mirrors [access_generic] operation for operation under the conditions
-   resolved at creation (no faults, null sink, every cache an exact LRU):
-   same Stats mutations, same speculative-table updates, and the same
-   left-associated float additions so modeled clocks are IEEE-byte-
-   identical.  Emit calls are dropped — the sink is null, so they were
-   no-ops.  The L1/L2 hit paths allocate nothing: costs flow through
-   unboxed local floats straight into the clocks array. *)
-
-let record_l2_eviction_fast t ~sn v =
-  Stats.record_eviction t.l2_stats.(sn);
-  Hashtbl.remove t.speculative.(sn) (Block.unsafe_of_int v)
-
-let install_l1_fast t f ~io ~thread b =
-  let v = Flat_lru.insert f.fl1.(io) (b : Block.t :> int) in
-  if v >= 0 then begin
-    Stats.record_eviction t.l1_stats.(io);
-    match t.protocol with
-    | Inclusive -> ()
-    | Demote_exclusive ->
-      let victim = Block.unsafe_of_int v in
-      let sn =
-        Striping.storage_node_of ~storage_nodes:t.topo.Topology.storage_nodes victim
-      in
-      Stats.record_demotion t.l2_stats.(sn);
-      t.clocks.(thread) <- t.clocks.(thread) +. t.costs.demote_us;
-      let v2 = Flat_lru.insert f.fl2.(sn) v in
-      if v2 >= 0 then record_l2_eviction_fast t ~sn v2
-  end
-
-let access_fast t f ~thread b =
-  let io = t.io_tbl.(thread) in
-  let bi = (b : Block.t :> int) in
-  if Flat_lru.touch f.fl1.(io) bi then begin
-    Stats.record_hit t.l1_stats.(io);
-    (match t.request_hist with
-    | Some h -> Flo_obs.Histogram.add h t.costs.l1_hit_us
-    | None -> ());
-    t.clocks.(thread) <- t.clocks.(thread) +. t.costs.l1_hit_us
-  end
-  else begin
-    Stats.record_miss t.l1_stats.(io);
-    let sn = Striping.storage_node_of ~storage_nodes:t.topo.Topology.storage_nodes b in
-    if Flat_lru.touch f.fl2.(sn) bi then begin
-      Stats.record_hit t.l2_stats.(sn);
-      if Hashtbl.mem t.speculative.(sn) b then begin
-        (* first demand touch of a readahead-inserted block *)
-        Hashtbl.remove t.speculative.(sn) b;
-        Stats.record_prefetch_hit t.l2_stats.(sn)
-      end;
-      (match t.protocol with
-      | Inclusive -> ()
-      | Demote_exclusive ->
-        (* the client caches it now: deprioritize rather than keep hot *)
-        ignore (Flat_lru.remove f.fl2.(sn) bi);
-        ignore (Flat_lru.insert_cold f.fl2.(sn) bi));
-      install_l1_fast t f ~io ~thread b;
-      let cost = t.costs.l1_hit_us +. t.costs.l2_hit_us in
-      (match t.request_hist with
-      | Some h -> Flo_obs.Histogram.add h cost
-      | None -> ());
-      t.clocks.(thread) <- t.clocks.(thread) +. cost
-    end
-    else begin
-      Stats.record_miss t.l2_stats.(sn);
-      (* a speculative entry for a block the cache no longer holds is stale *)
-      Hashtbl.remove t.speculative.(sn) b;
-      let lba =
-        Striping.lba_of ~storage_nodes:t.topo.Topology.storage_nodes
-          ~file_stride:t.file_stride b
-      in
-      let service = Disk.service t.disks.(sn) ~lba in
-      (match t.disk_hists.(sn) with
-      | Some h -> Flo_obs.Histogram.add h service
-      | None -> ());
-      let cost = ref (t.costs.l1_hit_us +. t.costs.l2_hit_us +. service) in
-      if t.readahead > 0 then begin
-        let charge = t.ra_charge.(sn) in
-        for k = 1 to t.readahead do
-          let next =
-            Block.make ~file:(Block.file b)
-              ~index:(Block.index b + (k * t.topo.Topology.storage_nodes))
-          in
-          if Block.index next / t.topo.Topology.storage_nodes < t.file_stride
-             && not (Flat_lru.contains f.fl2.(sn) (next :> int))
-          then begin
-            Stats.record_prefetch t.l2_stats.(sn);
-            Hashtbl.replace t.speculative.(sn) next ();
-            cost := !cost +. charge;
-            let v = Flat_lru.insert_cold f.fl2.(sn) (next :> int) in
-            if v >= 0 then record_l2_eviction_fast t ~sn v
-          end
-        done
-      end;
-      (match t.protocol with
-      | Inclusive ->
-        let v = Flat_lru.insert f.fl2.(sn) bi in
-        if v >= 0 then record_l2_eviction_fast t ~sn v
-      | Demote_exclusive ->
-        (* a block the client is about to cache enters at the cold end *)
-        let v = Flat_lru.insert_cold f.fl2.(sn) bi in
-        if v >= 0 then record_l2_eviction_fast t ~sn v);
-      install_l1_fast t f ~io ~thread b;
-      (match t.request_hist with
-      | Some h -> Flo_obs.Histogram.add h !cost
-      | None -> ());
-      t.clocks.(thread) <- t.clocks.(thread) +. !cost
-    end
-  end
-
-let access t ~thread b =
-  if thread < 0 || thread >= Array.length t.clocks then
-    invalid_arg "Hierarchy: thread out of range";
-  match t.fast with
-  | Some f -> access_fast t f ~thread b
-  | None -> access_generic t ~thread b
 
 let touch_element t ~thread ~file ~offset =
   access t ~thread
@@ -499,8 +403,8 @@ let prefetch_hits t =
 let request_latency t = t.request_hist
 
 let reset t =
-  Array.iter (fun (c : Policy.t) -> c.Policy.clear ()) t.l1;
-  Array.iter (fun (c : Policy.t) -> c.Policy.clear ()) t.l2;
+  Array.iter c_clear t.l1;
+  Array.iter c_clear t.l2;
   Array.iter Stats.reset t.l1_stats;
   Array.iter Stats.reset t.l2_stats;
   Array.iter Disk.reset t.disks;

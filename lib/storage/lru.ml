@@ -1,7 +1,7 @@
 (* The production LRU wraps Flat_lru: the closures delegate to the flat
-   state and [fast = Some s] exposes it so Hierarchy can devirtualize.  The
-   original Dll+Hashtbl implementation survives below as [reference] — the
-   executable spec the flat kernel is golden-tested against (the
+   state and [fast = Some s] exposes it so Hierarchy can call it directly.
+   The original Dll+Hashtbl implementation survives below as [reference] —
+   the executable spec the flat kernel is golden-tested against (the
    Tracegen.reference_streams pattern). *)
 
 let create ~capacity : Policy.t =

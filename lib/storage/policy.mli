@@ -27,9 +27,9 @@ type t = {
   fast : Flat_lru.t option;
       (** The flat allocation-free state backing the closures, when the
           policy is an exact LRU ({!Lru.create} populates it; every other
-          policy leaves [None]).  {!Hierarchy} resolves this once at
-          creation to devirtualize its hot path; the closures above must
-          view the same state, so both call paths stay interchangeable. *)
+          policy leaves [None]).  {!Hierarchy} resolves each cache once at
+          creation to this state or to the closures above; both must view
+          the same state, so either backing gives the same results. *)
 }
 
 type factory = capacity:int -> t

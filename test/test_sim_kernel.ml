@@ -1,9 +1,11 @@
 (* The allocation-free simulation kernel: the qcheck law that Flat_lru and
    the retained reference LRU agree on every operation result and the full
-   eviction sequence; hierarchy fast-path vs generic-path equality over
-   random access strings (both protocols, with and without readahead); the
+   eviction sequence; hierarchy equality over random access strings (both
+   protocols, with and without readahead) between flat and closure LRU
+   backings, and with a ring sink or a zero-rate injector attached; the
    full-suite Run.result field-for-field identity golden; the
-   Gc.minor_words proof that Flat_lru allocates nothing at steady state;
+   Gc.minor_words proofs that Flat_lru and the hierarchy's access path
+   allocate nothing at steady state;
    and the karma-hints flat-accumulation regression against the reference
    per-stream Hashtbl implementation. *)
 
@@ -110,13 +112,15 @@ let test_flat_lru_validation () =
   checkb "mq leaves fast none" true ((Mq.create ~capacity:4).Policy.fast = None);
   checkb "fifo leaves fast none" true ((Fifo.create ~capacity:4).Policy.fast = None)
 
-(* ---- hierarchy: fast path = generic path over random access strings ----- *)
+(* ---- hierarchy: one access body, any cache backing or observer -------- *)
 
 (* The suite golden below covers the default Inclusive, readahead-0
-   configuration; this property drives the paths it cannot reach — DEMOTE
-   demotions and the readahead/prefetch machinery — through both kernels.
-   The reference hierarchy is built from Lru.reference factories, so it
-   takes the generic closure path; observables must match exactly. *)
+   configuration; this property drives what it cannot reach — DEMOTE
+   demotions and the readahead/prefetch machinery — through the one access
+   body three ways: caches on the flat kernel (Lru.create) against the
+   closure reference (Lru.reference), and the flat run again with a ring
+   sink or with an injector compiled from a zero-rate plan attached.
+   Observables must match exactly. *)
 
 let topo_small =
   Topology.make ~compute_nodes:4 ~io_nodes:2 ~storage_nodes:2 ~block_elems:8
@@ -150,32 +154,51 @@ let access_string_arb =
       in
       return (demote, readahead, accs))
 
-let prop_hierarchy_fast_matches_generic =
+(* scale 0 drops every clause: the injector is attached but inert *)
+let zero_rate_plan =
+  Flo_faults.Fault_plan.scale
+    (Result.get_ok
+       (Flo_faults.Fault_plan.of_string
+          "read-error:rate=0.9;degrade:mult=16;cache-off:node=0"))
+    0.
+
+let prop_hierarchy_backings_and_observers_agree =
   QCheck.Test.make ~count:100
-    ~name:"hierarchy: devirtualized path = generic path (demote, readahead)"
+    ~name:"hierarchy: Lru.create = Lru.reference, ring sink and zero-rate faults inert"
     access_string_arb
     (fun (demote, readahead, accs) ->
       let protocol =
         if demote then Hierarchy.Demote_exclusive else Hierarchy.Inclusive
       in
-      let fast = Hierarchy.create ~protocol ~readahead topo_small in
-      let generic =
-        Hierarchy.create ~protocol ~readahead ~l1_factory:Lru.reference
-          ~l2_factory:Lru.reference topo_small
+      let ring = Flo_obs.Sink.create_ring ~capacity:64 in
+      let hs =
+        [
+          Hierarchy.create ~protocol ~readahead topo_small;
+          Hierarchy.create ~protocol ~readahead ~l1_factory:Lru.reference
+            ~l2_factory:Lru.reference topo_small;
+          Hierarchy.create ~protocol ~readahead ~sink:(Flo_obs.Sink.ring_sink ring)
+            topo_small;
+          Hierarchy.create ~protocol ~readahead
+            ~faults:
+              (Flo_faults.Injector.create
+                 ~storage_nodes:topo_small.Topology.storage_nodes zero_rate_plan)
+            topo_small;
+        ]
       in
       List.iter
         (fun (t, f, i) ->
           let b = Block.make ~file:f ~index:i in
-          Hierarchy.access fast ~thread:t b;
-          Hierarchy.access generic ~thread:t b)
+          List.iter (fun h -> Hierarchy.access h ~thread:t b) hs)
         accs;
-      hierarchy_observables fast = hierarchy_observables generic)
+      let observed = List.map hierarchy_observables hs in
+      (* the sink really listened: every access emits at least one event *)
+      (accs = [] || Flo_obs.Sink.ring_length ring > 0)
+      && List.for_all (( = ) (List.hd observed)) observed)
 
 (* ---- full-suite Run.result identity golden ------------------------------ *)
 
 (* Run.Custom leaves Policy.fast = None, so the reference run replays the
-   whole workload through the generic dispatch path with the retained
-   closure LRU.  Every field of the result record must be identical —
+   whole workload with every cache resolved to the retained closure LRU.  Every field of the result record must be identical —
    clocks to the last IEEE bit. *)
 
 let check_app_results config app =
@@ -243,6 +266,40 @@ let test_flat_lru_no_alloc () =
      workload must add nothing on top of that *)
   Alcotest.(check (float 0.))
     "minor words allocated by 50k flat-LRU ops" baseline measured
+
+(* The hierarchy's one access body under the production configuration
+   (default LRU, null sink, no injector, readahead 0): a cyclic working set
+   larger than every L1 but within each L2 keeps L1 missing and L2 hitting,
+   so each access runs the L1 eviction (and, under DEMOTE, the demotion)
+   path — and still allocates nothing.  Inlining [emit] and the install
+   helpers is what keeps [time_us] unboxed here. *)
+let test_hierarchy_no_alloc protocol () =
+  let topo =
+    Topology.make ~compute_nodes:2 ~io_nodes:2 ~storage_nodes:2 ~block_elems:8
+      ~io_cache_blocks:8 ~storage_cache_blocks:32 ()
+  in
+  let h = Hierarchy.create ~protocol topo in
+  let blocks = Array.init 24 (fun i -> Block.make ~file:(i mod 3) ~index:i) in
+  let work () =
+    for i = 0 to 49_999 do
+      Hierarchy.access h ~thread:(i land 1) blocks.(i mod 24)
+    done
+  in
+  (* warm up: every block resident in its L2, so no disk read remains *)
+  work ();
+  let reads = Hierarchy.disk_reads h in
+  let delta f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let nothing () = () in
+  let baseline = delta nothing in
+  let measured = delta work in
+  Alcotest.(check int) "steady state reads no disk" reads (Hierarchy.disk_reads h);
+  checkb "steady state misses L1" true ((Hierarchy.l1_stats h).Stats.misses > 50_000);
+  Alcotest.(check (float 0.))
+    "minor words allocated by 50k hierarchy accesses" baseline measured
 
 (* ---- karma hints: flat accumulation = reference Hashtbl+sort ------------ *)
 
@@ -322,7 +379,7 @@ let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_flat_lru_matches_reference;
-      prop_hierarchy_fast_matches_generic;
+      prop_hierarchy_backings_and_observers_agree;
       prop_karma_hints_match_reference;
     ]
 
@@ -330,6 +387,12 @@ let suite =
   [
     ("flat-lru validation and fast fields", `Quick, test_flat_lru_validation);
     ("flat-lru zero steady-state allocation", `Quick, test_flat_lru_no_alloc);
+    ( "inclusive hierarchy allocates nothing",
+      `Quick,
+      test_hierarchy_no_alloc Hierarchy.Inclusive );
+    ( "demote hierarchy allocates nothing",
+      `Quick,
+      test_hierarchy_no_alloc Hierarchy.Demote_exclusive );
     ("golden run equality (16-app suite)", `Slow, test_golden_run_suite);
   ]
   @ qsuite
