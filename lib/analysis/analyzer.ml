@@ -108,6 +108,8 @@ let load_channel ?keep_events ic =
        incr lineno;
        if String.trim line <> "" then
          match Event.of_json line with
+         | Ok e when e.Event.thread < 0 ->
+           err := Some (Malformed { line = !lineno; msg = "negative thread id" })
          | Ok e -> feed t e
          | Error msg -> err := Some (Malformed { line = !lineno; msg })
      done

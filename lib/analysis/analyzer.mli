@@ -38,7 +38,8 @@ val load_error_to_string : load_error -> string
 val load_file : ?keep_events:bool -> string -> (t, load_error) result
 (** Offline mode: parse a JSONL trace with {!Flo_obs.Event.of_json}.  Blank
     lines are skipped; the first malformed line aborts with
-    [Malformed] carrying its line number. *)
+    [Malformed] carrying its line number.  A negative thread id is
+    malformed; negative file and block ids load like any other. *)
 
 val load_channel : ?keep_events:bool -> in_channel -> (t, load_error) result
 

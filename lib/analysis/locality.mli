@@ -1,6 +1,12 @@
 (** Per-thread, per-file distinct-block counts — the paper's Step I
     objective (Eq. 4): how many distinct blocks of each file every thread
-    drags through the hierarchy.  Feed the trace's [Access] events. *)
+    drags through the hierarchy.  Feed the trace's [Access] events (the
+    observed side) or the model's predicted requests ([Flo_fidelity.Predict]).
+
+    Total over every int: thread, file and block ids are stored unpacked,
+    so negative and extreme values are distinct keys like any other.  A
+    {!touch} of a triple already seen allocates nothing, and the sharing
+    queries are O(1). *)
 
 type t
 
@@ -21,6 +27,9 @@ val threads : t -> int
 
 val files : t -> int list
 (** File ids seen, ascending. *)
+
+val pairs : t -> ((int * int) * int) list
+(** [((thread, file), distinct)] for every pair seen, ascending. *)
 
 val per_thread : t -> (int * (int * int) list) list
 (** [(thread, [(file, distinct); ...])], both levels ascending. *)

@@ -6,7 +6,8 @@
     a thread reading elements stored contiguously issues one block-sized
     request, a thread whose elements are scattered issues one request per
     element.  This is where a layout's "block footprint" becomes request
-    traffic. *)
+    traffic.  The walk itself lives in {!Flo_core.Nest_walk}, shared with
+    the fidelity model; this module turns it into [Block.t] streams. *)
 
 open Flo_poly
 open Flo_storage
@@ -30,12 +31,14 @@ val nest_streams :
     thread's iterations (a prefix preserves contiguity) — profile mode.  The per-nest block count is capped by the nest's
     parallel extent.
 
-    This is the strength-reduced fast path: per-reference offsets are
-    tracked as incremental affine cursors over the lexicographic walk
-    (via {!File_layout.linear_strides} / {!File_layout.offset_of_transformed})
-    and streams are accumulated in preallocated int buffers, so the hot
-    loop performs no per-element allocation, transform, or division.
-    Element-for-element identical to {!reference_streams}. *)
+    This is the strength-reduced walk of {!Flo_core.Nest_walk} (incremental
+    affine cursors, int request buffers, no per-element allocation,
+    transform, or division), materialized as [Block.t] arrays; the fidelity
+    model counts the same walk.  Element-for-element identical to
+    {!reference_streams}.
+    @raise Invalid_argument on [sample < 1], or when a reference leaves
+    its array — checked once per iteration block, so with [sample > 1]
+    also for the block's elements past the sampled prefix. *)
 
 val reference_streams :
   layouts:(int -> File_layout.t) ->

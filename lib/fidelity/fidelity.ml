@@ -34,26 +34,22 @@ let flagged_row ~tolerance r = rel_drift r > tolerance
 let join ?(tolerance = 0.) ~predict ~observed () =
   if tolerance < 0. then invalid_arg "Fidelity.join: negative tolerance";
   let l = Analyzer.locality observed in
-  (* union of keys: a pair only one side knows about is itself drift *)
-  let keys = Hashtbl.create 64 in
-  List.iter (fun (key, _) -> Hashtbl.replace keys key ()) predict.Predict.distinct;
-  List.iter
-    (fun (thread, per_file) ->
-      List.iter (fun (file, _) -> Hashtbl.replace keys (thread, file) ()) per_file)
-    (Locality.per_thread l);
-  let rows =
-    Hashtbl.fold
-      (fun (thread, file) () acc ->
-        {
-          thread;
-          file;
-          predicted = Predict.distinct_of predict ~thread ~file;
-          observed = Locality.distinct l ~thread ~file;
-        }
-        :: acc)
-      keys []
-    |> List.sort (fun a b -> compare (a.thread, a.file) (b.thread, b.file))
+  (* merge the two ascending [((thread, file), distinct)] lists: the rows
+     cover the union of keys, since a pair only one side knows about is
+     itself drift *)
+  let row (thread, file) predicted observed = { thread; file; predicted; observed } in
+  let rec merge acc p o =
+    match (p, o) with
+    | [], [] -> List.rev acc
+    | (k, n) :: p', [] -> merge (row k n 0 :: acc) p' []
+    | [], (k, n) :: o' -> merge (row k 0 n :: acc) [] o'
+    | (kp, np) :: p', (ko, no) :: o' ->
+      let c = compare (kp : int * int) ko in
+      if c = 0 then merge (row kp np no :: acc) p' o'
+      else if c < 0 then merge (row kp np 0 :: acc) p' o
+      else merge (row ko 0 no :: acc) p o'
   in
+  let rows = merge [] predict.Predict.distinct (Locality.pairs l) in
   (* a cache only sees the subset of the request stream that reaches it, so
      request-level predicted sharing upper-bounds every layer's observed
      sharing; an excess is a model violation (mis-attributed residency) *)

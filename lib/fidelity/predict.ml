@@ -1,5 +1,6 @@
 open Flo_poly
 open Flo_core
+open Flo_analysis
 
 type layer_expect = {
   level : int;
@@ -76,70 +77,33 @@ let array_prediction ~block_elems (decl : Program.array_decl) layout =
       | _ -> []);
   }
 
-(* Mirrors Tracegen's parallelization exactly: round-robin iteration blocks,
-   [num_blocks = min (threads * blocks_per_thread) extent], and profile-mode
-   sampling keeps a prefix of each thread's iterations. *)
+(* The walk Tracegen streams, at the model's own [block_elems], counted
+   into the distinct-block set the observed side uses. *)
 let compute ?(blocks_per_thread = 1) ?(sample = 1) ~block_elems ~threads ~name ~layouts
     (program : Program.t) =
   if sample < 1 then invalid_arg "Predict.compute: sample < 1";
   if block_elems < 1 then invalid_arg "Predict.compute: block_elems < 1";
-  let seen : (int * int * int, unit) Hashtbl.t = Hashtbl.create 4096 in
-  let counts : (int * int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let degrees : (int * int, int ref) Hashtbl.t = Hashtbl.create 4096 in
-  let touch ~thread ~file ~block =
-    let key = (thread, file, block) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      (match Hashtbl.find_opt counts (thread, file) with
-      | Some r -> incr r
-      | None -> Hashtbl.add counts (thread, file) (ref 1));
-      match Hashtbl.find_opt degrees (file, block) with
-      | Some r -> incr r
-      | None -> Hashtbl.add degrees (file, block) (ref 1)
-    end
-  in
+  let l = Locality.create () in
+  let buf = Nest_walk.requests () in
   List.iter
-    (fun (nest : Loop_nest.t) ->
-      let u = nest.Loop_nest.parallel_dim in
-      let extent = Iter_space.extent nest.Loop_nest.space u in
-      let num_blocks = min (threads * blocks_per_thread) extent in
-      let plan =
-        Parallelize.custom ~threads ~num_blocks ~assign:(fun b -> b mod threads) nest
-      in
-      let totals = Parallelize.iterations_per_thread plan in
-      let refs =
-        List.map (fun r -> (Access.array_id r, layouts (Access.array_id r), r))
-          nest.Loop_nest.refs
+    (fun nest ->
+      let walk =
+        Nest_walk.create ~layouts ~block_elems ~threads ~blocks_per_thread ~sample nest
       in
       for thread = 0 to threads - 1 do
-        let limit = (totals.(thread) + sample - 1) / sample in
-        let counter = ref 0 in
-        Parallelize.iter_thread plan ~thread (fun iter ->
-            let keep = !counter < limit in
-            incr counter;
-            if keep then
-              List.iter
-                (fun (file, layout, r) ->
-                  let offset = File_layout.offset_of layout (Access.eval r iter) in
-                  touch ~thread ~file ~block:(offset / block_elems))
-                refs)
+        Nest_walk.walk walk ~thread buf;
+        for i = 0 to buf.Nest_walk.len - 1 do
+          Locality.touch l ~thread ~file:buf.Nest_walk.files.(i)
+            ~block:buf.Nest_walk.indices.(i)
+        done
       done)
     program.Program.nests;
-  let distinct =
-    Hashtbl.fold (fun key r acc -> (key, !r) :: acc) counts []
-    |> List.sort compare
-  in
-  let cross_shared_blocks =
-    Hashtbl.fold (fun _ r acc -> if !r >= 2 then acc + 1 else acc) degrees 0
-  in
-  let cross_pairs =
-    Hashtbl.fold (fun _ r acc -> acc + (!r * (!r - 1) / 2)) degrees 0
-  in
   let arrays =
     List.map
       (fun id -> array_prediction ~block_elems (Program.array_decl program id) (layouts id))
       (Program.array_ids program)
   in
+  let cross_shared_blocks = Locality.shared_blocks l in
   {
     app = name;
     threads;
@@ -147,23 +111,12 @@ let compute ?(blocks_per_thread = 1) ?(sample = 1) ~block_elems ~threads ~name ~
     blocks_per_thread;
     sample;
     arrays;
-    distinct;
+    distinct = Locality.pairs l;
     cross_shared_blocks;
-    cross_pairs;
-    distinct_blocks = Hashtbl.length degrees;
+    cross_pairs = Locality.cross_pairs l;
+    distinct_blocks = Locality.distinct_blocks l;
     single_owner = cross_shared_blocks = 0;
   }
-
-let distinct_of t ~thread ~file =
-  match List.assoc_opt (thread, file) t.distinct with Some n -> n | None -> 0
-
-let total_distinct t ~thread =
-  List.fold_left
-    (fun acc ((th, _), n) -> if th = thread then acc + n else acc)
-    0 t.distinct
-
-let threads_seen t =
-  List.fold_left (fun acc ((th, _), _) -> max acc (th + 1)) 0 t.distinct
 
 let pp_layer ppf l =
   Format.fprintf ppf "L%d: S=%d N=%d t=%d sharing=%d chunks/thread=%d (%d blocks)"

@@ -5,11 +5,15 @@
 
     - {b Step I (Eq. 4)}: the chosen transformation [D] minimizes the number
       of distinct blocks of each file every thread drags through the
-      hierarchy.  {!compute} evaluates that objective exactly: it enumerates
-      each thread's iteration blocks (the same round-robin distribution the
-      runtime uses), maps every reference through the chosen layout, and
-      counts distinct [(thread, file, block)] triples — with {e no} cache
-      simulation, interleaving, or request coalescing involved.
+      hierarchy.  {!compute} evaluates that objective exactly, with no
+      cache simulation or interleaving involved: it runs
+      {!Flo_core.Nest_walk} — the walk the runtime's streams come from, the
+      same round-robin distribution and sampled prefix — at the model's own
+      [block_elems], and counts distinct [(thread, file, block)] triples
+      in a [Flo_analysis.Locality.t], the set the observed side counts
+      with.  The walk's per-file collapse does not change the count: it
+      drops a request only when the block is the one that file last read
+      for that thread, and that block is already in the thread's set.
     - {b Step II}: the chunk placement
       [b_i = ((x / (t_1 ... t_(i-1))) mod t_i) * S_i] confines each thread's
       data to thread-private, block-aligned chunks, so at a matching block
@@ -71,12 +75,8 @@ val compute :
 (** [blocks_per_thread] and [sample] mirror the runner's parallelization
     knobs (defaults 1); predictions are exact for a run under the same
     parameters.  @raise Invalid_argument on non-positive [sample] or
-    [block_elems]. *)
-
-val distinct_of : t -> thread:int -> file:int -> int
-(** 0 for a pair the model predicts no touches for. *)
-
-val total_distinct : t -> thread:int -> int
-val threads_seen : t -> int
+    [block_elems], or when a reference leaves its array (checked per
+    iteration block by {!Flo_core.Nest_walk.walk}; with [sample > 1] the
+    check also covers the block's elements past the sampled prefix). *)
 
 val pp_layer : Format.formatter -> layer_expect -> unit

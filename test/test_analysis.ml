@@ -444,10 +444,179 @@ let test_bad_trace_fixture () =
     checkb "message not empty" true (String.length msg > 0)
   | Error (A.Io msg) -> Alcotest.failf "expected Malformed, got Io: %s" msg
 
+let test_negative_thread_fixture () =
+  (* line 1 carries a negative file and block, which load; line 4 is a hit
+     from thread -1, which the reader rejects as malformed instead of
+     letting the sharing fold raise *)
+  let path =
+    if Sys.file_exists "data/negative_thread.jsonl" then "data/negative_thread.jsonl"
+    else "test/data/negative_thread.jsonl"
+  in
+  (match A.load_file path with
+  | Ok _ -> Alcotest.fail "negative thread accepted"
+  | Error (A.Malformed { line; msg }) ->
+    check "offending line" 4 line;
+    Alcotest.(check string) "message" "negative thread id" msg
+  | Error (A.Io msg) -> Alcotest.failf "expected Malformed, got Io: %s" msg);
+  let lines = In_channel.with_open_bin path In_channel.input_all in
+  let first3 =
+    String.concat "\n" (List.filteri (fun i _ -> i < 3) (String.split_on_char '\n' lines))
+  in
+  let tmp = Filename.temp_file "negative_thread" ".jsonl" in
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc first3);
+  let loaded = A.load_file tmp in
+  Sys.remove tmp;
+  match loaded with
+  | Ok a ->
+    check "negative file/block counted" 1
+      (Flo_analysis.Locality.distinct (A.locality a) ~thread:0 ~file:(-7))
+  | Error e -> Alcotest.failf "valid prefix rejected: %s" (A.load_error_to_string e)
+
+(* ---- Locality against a tuple-Hashtbl model ----------------------------- *)
+
+module L = Flo_analysis.Locality
+
+(* The obvious implementation: a set of (thread, file, block) triples, every
+   query recomputed from it. *)
+module Locality_model = struct
+  type t = { seen : (int * int * int, unit) Hashtbl.t; mutable requests : int }
+
+  let create () = { seen = Hashtbl.create 64; requests = 0 }
+
+  let touch t ~thread ~file ~block =
+    t.requests <- t.requests + 1;
+    Hashtbl.replace t.seen (thread, file, block) ()
+
+  let triples t = Hashtbl.fold (fun k () acc -> k :: acc) t.seen []
+
+  let pairs t =
+    let counts = Hashtbl.create 16 in
+    List.iter
+      (fun (th, f, _) ->
+        Hashtbl.replace counts (th, f)
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts (th, f))))
+      (triples t);
+    List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [])
+
+  let distinct t ~thread ~file =
+    Option.value ~default:0 (List.assoc_opt (thread, file) (pairs t))
+
+  let total_distinct t ~thread =
+    List.fold_left (fun acc ((th, _), n) -> if th = thread then acc + n else acc) 0 (pairs t)
+
+  let threads t = List.fold_left (fun acc ((th, _), _) -> max acc (th + 1)) 0 (pairs t)
+  let files t = List.sort_uniq compare (List.map (fun ((_, f), _) -> f) (pairs t))
+
+  let degrees t =
+    let deg = Hashtbl.create 16 in
+    List.iter
+      (fun (_, f, b) ->
+        Hashtbl.replace deg (f, b) (1 + Option.value ~default:0 (Hashtbl.find_opt deg (f, b))))
+      (triples t);
+    Hashtbl.fold (fun _ k acc -> k :: acc) deg []
+
+  let distinct_blocks t = List.length (degrees t)
+  let shared_blocks t = List.length (List.filter (fun k -> k >= 2) (degrees t))
+  let cross_pairs t = List.fold_left (fun acc k -> acc + (k * (k - 1) / 2)) 0 (degrees t)
+end
+
+type locality_op = Touch of int * int * int | Query of int * int
+
+(* a small pool so keys repeat, salted with the extremes of int *)
+let hostile_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range (-3) 3);
+        (1, return min_int);
+        (1, return max_int);
+        (1, return (min_int + 1));
+        (1, return (max_int - 1));
+      ])
+
+(* blocks also range over all of int, so homes scatter and probe runs meet
+   entries that share (thread, file) but not the block *)
+let hostile_block = QCheck.Gen.(frequency [ (3, hostile_int); (1, int) ])
+
+let prop_locality_matches_model =
+  (* short runs query often; long ones fill the tables past their initial
+     size, so probe runs collide and rehash *)
+  let gen =
+    QCheck.Gen.(
+      let* n, query_every =
+        oneof [ pair (int_range 0 200) (return 4); pair (int_range 1000 2000) (return 400) ]
+      in
+      list_repeat n
+        (frequency
+           [
+             ( query_every,
+               map3 (fun a b c -> Touch (a, b, c)) hostile_int hostile_int hostile_block );
+             (1, map2 (fun a b -> Query (a, b)) hostile_int hostile_int);
+           ]))
+  in
+  let print ops =
+    String.concat " "
+      (List.map
+         (function
+           | Touch (a, b, c) -> Printf.sprintf "T(%d,%d,%d)" a b c
+           | Query (a, b) -> Printf.sprintf "Q(%d,%d)" a b)
+         ops)
+  in
+  QCheck.Test.make ~count:100 ~name:"Locality = tuple-Hashtbl model over hostile ints"
+    (QCheck.make ~print gen) (fun ops ->
+      let l = L.create () and m = Locality_model.create () in
+      let agree () =
+        L.requests l = m.Locality_model.requests
+        && L.pairs l = Locality_model.pairs m
+        && L.threads l = Locality_model.threads m
+        && L.files l = Locality_model.files m
+        && L.distinct_blocks l = Locality_model.distinct_blocks m
+        && L.shared_blocks l = Locality_model.shared_blocks m
+        && L.cross_pairs l = Locality_model.cross_pairs m
+      in
+      List.for_all
+        (function
+          | Touch (thread, file, block) ->
+            L.touch l ~thread ~file ~block;
+            Locality_model.touch m ~thread ~file ~block;
+            true
+          | Query (thread, file) ->
+            L.distinct l ~thread ~file = Locality_model.distinct m ~thread ~file
+            && L.total_distinct l ~thread = Locality_model.total_distinct m ~thread
+            && agree ())
+        ops
+      && agree ()
+      && List.concat_map
+           (fun (th, per_file) -> List.map (fun (f, n) -> ((th, f), n)) per_file)
+           (L.per_thread l)
+         = Locality_model.pairs m)
+
+(* 50k touches of triples already seen: the lookup walks int arrays only *)
+let test_locality_no_alloc () =
+  let l = L.create () in
+  let work () =
+    for i = 0 to 49_999 do
+      L.touch l ~thread:(i land 3) ~file:(i mod 3) ~block:(i mod 1000 - 500)
+    done
+  in
+  work ();
+  let delta f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let baseline = delta (fun () -> ()) in
+  let measured = delta work in
+  Alcotest.(check (float 0.)) "minor words for 50k re-touches" 0. (measured -. baseline);
+  check "requests counted" 100_000 (L.requests l)
+
 let suite =
   suite
+  @ List.map QCheck_alcotest.to_alcotest [ prop_locality_matches_model ]
   @ [
+      ("locality re-touch allocates nothing", `Quick, test_locality_no_alloc);
       ("perfetto: empty trace", `Quick, test_perfetto_empty_trace);
       ("perfetto: single event", `Quick, test_perfetto_single_event);
       ("bad-trace fixture reports line 3", `Quick, test_bad_trace_fixture);
+      ("negative thread id is a malformed line", `Quick, test_negative_thread_fixture);
     ]

@@ -303,7 +303,203 @@ let test_drift_signal_phase_shift () =
   checkb "reason lines render" true
     (List.for_all (fun r -> String.length (D.reason_to_string r) > 0) reasons)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_flagged_monotone ]
+(* -- Predict against the per-element oracle -------------------------------- *)
+
+(* A random small nest: depth 2-3 with nonzero lower bounds, 1-3 references
+   to 1-2 arrays (a permutation of the loop indices, an optional shear and
+   a 0/1 offset), each array sized to hold its references' images, under a
+   row-major, column-major, permuted or inter-node layout. *)
+type ref_shape = { array : int; perm : int array; shear : (int * int) option; q : int array }
+
+type layout_kind = Row | Col | Perm of int array | Inter of int array * bool * int * int * int
+
+type nest_case = {
+  bounds : (int * int) array;
+  parallel_dim : int;
+  shapes : ref_shape list;
+  kinds : layout_kind array;  (* per array *)
+  threads : int;
+  blocks_per_thread : int;
+  sample : int;
+  block_elems : int;
+}
+
+let gen_perm n =
+  QCheck.Gen.(
+    map
+      (fun keys ->
+        let idx = Array.init n Fun.id in
+        Array.stable_sort (fun a b -> compare keys.(a) keys.(b)) idx;
+        idx)
+      (array_repeat n nat))
+
+let gen_case =
+  QCheck.Gen.(
+    let* depth = int_range 2 3 in
+    let* bounds =
+      array_repeat depth
+        (let* lo = int_range 0 2 in
+         let* ext = int_range 1 7 in
+         return (lo, lo + ext - 1))
+    in
+    let* parallel_dim = int_range 0 (depth - 1) in
+    let* n_arrays = int_range 1 2 in
+    let* shapes =
+      list_size (int_range 1 3)
+        (let* array = int_range 0 (n_arrays - 1) in
+         let* perm = gen_perm depth in
+         let* sheared = bool in
+         let* k1 = int_range 0 (depth - 1) in
+         let* k2 = int_range 0 (depth - 1) in
+         let* q = array_repeat depth (int_range 0 1) in
+         return
+           { array; perm; shear = (if sheared && k1 <> k2 then Some (k1, k2) else None); q })
+    in
+    let* kinds =
+      array_repeat n_arrays
+        (oneof
+           [
+             return Row;
+             return Col;
+             map (fun p -> Perm p) (gen_perm depth);
+             (let* d = gen_perm depth in
+              let* negate = bool in
+              let* num_blocks = int_range 1 4 in
+              let* slab = int_range 1 4 in
+              let* chunk = int_range 1 4 in
+              return (Inter (d, negate, num_blocks, slab, chunk)));
+           ])
+    in
+    let* threads = int_range 1 4 in
+    let* blocks_per_thread = int_range 1 3 in
+    let* sample = int_range 1 4 in
+    (* any block size, not only a run's (the default topology's is 64) *)
+    let* block_elems = int_range 1 9 in
+    return
+      { bounds; parallel_dim; shapes; kinds; threads; blocks_per_thread; sample; block_elems })
+
+let access_of depth s =
+  let mat = Array.init depth (fun k -> Array.init depth (fun j -> if s.perm.(k) = j then 1 else 0)) in
+  (match s.shear with
+  | Some (k1, k2) -> mat.(k1).(s.perm.(k2)) <- mat.(k1).(s.perm.(k2)) + 1
+  | None -> ());
+  Flo_poly.Access.make ~array_id:s.array mat (Array.copy s.q)
+
+let program_of c =
+  let depth = Array.length c.bounds in
+  let refs = List.map (access_of depth) c.shapes in
+  let extents a =
+    Array.init depth (fun k ->
+        List.fold_left
+          (fun acc r ->
+            if Flo_poly.Access.array_id r <> a then acc
+            else
+              let m = Flo_poly.Access.matrix r in
+              let top = ref (Flo_poly.Access.offset r).(k) in
+              Array.iteri (fun j (_, hi) -> top := !top + (m.(k).(j) * hi)) c.bounds;
+              max acc (!top + 1))
+          1 refs)
+  in
+  let spaces = Array.init (Array.length c.kinds) (fun a -> Flo_poly.Data_space.make (extents a)) in
+  let layouts =
+    Array.mapi
+      (fun a kind ->
+        let space = spaces.(a) in
+        match kind with
+        | Row -> Flo_core.File_layout.Row_major space
+        | Col -> Flo_core.File_layout.Col_major space
+        | Perm p -> Flo_core.File_layout.permuted space p
+        | Inter (p, negate, num_blocks, slab_height, chunk) ->
+          let d =
+            Array.init depth (fun r ->
+                Array.init depth (fun j ->
+                    if p.(r) <> j then 0 else if negate && r = 0 then -1 else 1))
+          in
+          let layer capacity fanout = { Flo_core.Chunk_pattern.capacity; fanout } in
+          Flo_core.File_layout.internode ~space ~d ~v:0 ~num_blocks ~v_origin:0 ~slab_height
+            ~pattern:
+              (Flo_core.Chunk_pattern.make
+                 ~layers:[| layer (2 * chunk) 2; layer (8 * chunk) 2 |]))
+      c.kinds
+  in
+  let program =
+    Flo_poly.Program.make ~name:"law"
+      (Array.to_list
+         (Array.mapi
+            (fun a space -> Flo_poly.Program.declare ~id:a ~name:(Printf.sprintf "a%d" a) space)
+            spaces))
+      [
+        Flo_poly.Loop_nest.make ~parallel_dim:c.parallel_dim
+          (Flo_poly.Iter_space.make c.bounds)
+          refs;
+      ]
+  in
+  (program, fun id -> layouts.(id))
+
+let print_case c =
+  Printf.sprintf "bounds=[%s] u=%d refs=%d arrays=%d threads=%d bpt=%d sample=%d block=%d"
+    (String.concat ";"
+       (Array.to_list (Array.map (fun (lo, hi) -> Printf.sprintf "%d..%d" lo hi) c.bounds)))
+    c.parallel_dim (List.length c.shapes) (Array.length c.kinds) c.threads
+    c.blocks_per_thread c.sample c.block_elems
+
+let prop_predict_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"Predict.compute = per-element oracle"
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let program, layouts = program_of c in
+      let p =
+        P.compute ~blocks_per_thread:c.blocks_per_thread ~sample:c.sample
+          ~block_elems:c.block_elems ~threads:c.threads ~name:"law" ~layouts program
+      in
+      let o =
+        Predict_oracle.compute ~blocks_per_thread:c.blocks_per_thread ~sample:c.sample
+          ~block_elems:c.block_elems ~threads:c.threads ~layouts program
+      in
+      p.P.distinct = o.Predict_oracle.distinct
+      && p.P.cross_shared_blocks = o.Predict_oracle.cross_shared_blocks
+      && p.P.cross_pairs = o.Predict_oracle.cross_pairs
+      && p.P.distinct_blocks = o.Predict_oracle.distinct_blocks
+      && p.P.single_owner = (o.Predict_oracle.cross_shared_blocks = 0))
+
+(* A reference that leaves its array: A[i + 1] over i in 0..7 on an
+   8-element array.  The per-element model raises on the last iteration;
+   the walk rejects the slice up front, and so does stream generation, like
+   its per-element reference. *)
+let test_out_of_range_reference () =
+  let space = Flo_poly.Data_space.make [| 8 |] in
+  let nest =
+    Flo_poly.Loop_nest.make ~parallel_dim:0
+      (Flo_poly.Iter_space.make [| (0, 7) |])
+      [ Flo_poly.Access.of_rows ~array_id:0 [ [ 1 ] ] [ 1 ] ]
+  in
+  let program =
+    Flo_poly.Program.make ~name:"oob" [ Flo_poly.Program.declare ~id:0 ~name:"a" space ] [ nest ]
+  in
+  let layouts _ = Flo_core.File_layout.Row_major space in
+  let raises label f =
+    checkb label true (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "oracle raises" (fun () ->
+      ignore (Predict_oracle.compute ~block_elems:4 ~threads:2 ~layouts program));
+  raises "Predict.compute raises" (fun () ->
+      ignore (P.compute ~block_elems:4 ~threads:2 ~name:"oob" ~layouts program));
+  raises "reference_streams raises" (fun () ->
+      ignore
+        (Tracegen.reference_streams ~layouts ~block_elems:4 ~threads:2 ~blocks_per_thread:1
+           nest));
+  raises "nest_streams raises" (fun () ->
+      ignore
+        (Tracegen.nest_streams ~layouts ~block_elems:4 ~threads:2 ~blocks_per_thread:1 nest));
+  (* with sampling the check covers the whole slice: thread 1 keeps only
+     i = 4, 5, yet its slice reaches i = 7 *)
+  raises "sampled nest_streams raises" (fun () ->
+      ignore
+        (Tracegen.nest_streams ~layouts ~block_elems:4 ~threads:2 ~blocks_per_thread:1
+           ~sample:2 nest))
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest [ prop_flagged_monotone; prop_predict_matches_oracle ]
 
 let suite =
   [
@@ -316,6 +512,7 @@ let suite =
     ("record publishes gauges", `Quick, test_record_publishes_gauges);
     ("argument validation", `Quick, test_predict_validates_args);
     ("row drift arithmetic", `Quick, test_row_drift_arithmetic);
+    ("out-of-range reference raises", `Quick, test_out_of_range_reference);
     ("drift watch: quiet on identical windows", `Quick, test_drift_quiet_on_identical);
     ("drift watch: flags after enter streak", `Quick, test_drift_flags_after_streak);
     ("drift watch: hysteresis", `Quick, test_drift_hysteresis);
